@@ -27,14 +27,17 @@ contract rests on — without executing the artifact:
 * **PGMP506** (info) — artifacts the backend could not translate are
   enumerated with their fallback reason instead of failing silently.
 
-All diagnostics use ``pass_name="verify"`` and anchor to the artifact's
-filename, with generated-source line numbers where the finding has one.
+Each artifact is parsed once and its AST walked once (:class:`_Walk`);
+the passes then judge what the walk collected. Every pass reports at
+most one finding. All diagnostics use ``pass_name="verify"`` and anchor
+to the artifact's filename, with generated-source line numbers where the
+finding has one.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Callable
 
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.verify.expected import ExpectedEvents, expected_events
@@ -53,6 +56,12 @@ _ALLOWED_BUILTINS = frozenset({"len", "type", "int", "RecursionError"})
 
 _ARITH_OPS = (ast.Add, ast.Sub, ast.Mult)
 _ORDER_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+#: What the expected-order oracle yields: its events, the error it raised,
+#: or None when there is no expanded program to derive them from.
+_Derived = ExpectedEvents | Exception | None
+#: One pass's finding: its message and the node it anchors to, if any.
+_Finding = tuple[str, ast.AST | None]
 
 
 def _anchor(filename: str, node: ast.AST | None = None) -> SourceLocation:
@@ -95,417 +104,17 @@ def _is_charge(stmt: ast.stmt) -> bool:
     )
 
 
-def _ordered_statements(stmts: list[ast.stmt]) -> Iterator[ast.stmt]:
-    """Every statement, in source (line) order."""
-    for stmt in stmts:
-        yield stmt
-        for field in ("body", "orelse", "finalbody"):
-            sub = getattr(stmt, field, None)
-            if sub:
-                yield from _ordered_statements(sub)
-        for handler in getattr(stmt, "handlers", None) or []:
-            yield from _ordered_statements(handler.body)
-
-
-def _statement_lists(stmts: list[ast.stmt]) -> Iterator[list[ast.stmt]]:
-    """Every block (list of sibling statements), outermost first."""
-    yield stmts
-    for stmt in stmts:
-        for field in ("body", "orelse", "finalbody"):
-            sub = getattr(stmt, field, None)
-            if sub:
-                yield from _statement_lists(sub)
-        for handler in getattr(stmt, "handlers", None) or []:
-            yield from _statement_lists(handler.body)
-
-
-# -- PGMP501: instrumentation-site order -------------------------------------
-
-
-def _check_hooks(
-    report: AnalysisReport,
-    tree: ast.Module,
-    artifact: CompiledArtifact,
-    expected: ExpectedEvents | None,
-    prefix: str,
-    filename: str,
-) -> None:
-    hooks = [
-        (stmt, index)
-        for stmt in _ordered_statements(tree.body)
-        if (index := _hook_index(stmt)) is not None
-    ]
-    instrumented = "instr" in artifact.flavor
-    if not instrumented:
-        if hooks:
-            stmt, index = hooks[0]
-            report.emit(
-                "PGMP501",
-                prefix + f"non-instrumented flavor emits hook call H[{index}]",
-                _anchor(filename, stmt),
-                PASS_NAME,
-            )
-        return
-    for position, (stmt, index) in enumerate(hooks):
-        if index != position:
-            report.emit(
-                "PGMP501",
-                prefix
-                + f"hook call #{position} in textual order has index "
-                f"{index}; emission order must match traversal order",
-                _anchor(filename, stmt),
-                PASS_NAME,
-            )
-            return
-    if len(hooks) != len(artifact.hook_sites):
-        report.emit(
-            "PGMP501",
-            prefix
-            + f"generated source contains {len(hooks)} hook call(s) but the "
-            f"artifact records {len(artifact.hook_sites)} hook site(s)",
-            _anchor(filename),
-            PASS_NAME,
-        )
-        return
-    if expected is None:
-        return
-    derived = expected.hook_sites
-    recorded = [tuple(site) for site in artifact.hook_sites]
-    if len(recorded) != len(derived):
-        report.emit(
-            "PGMP501",
-            prefix
-            + f"artifact records {len(recorded)} hook site(s) but the "
-            f"interpreter traversal produces {len(derived)}",
-            _anchor(filename),
-            PASS_NAME,
-        )
-        return
-    for index, (got, want) in enumerate(zip(recorded, derived)):
-        if got != want:
-            report.emit(
-                "PGMP501",
-                prefix
-                + f"hook site #{index} diverges from interpreter order: "
-                f"recorded point {got[0]} (is_app={got[1]}), expected "
-                f"{want[0]} (is_app={want[1]})",
-                _anchor(filename),
-                PASS_NAME,
-            )
-            return
-
-
-# -- PGMP502: step-budget charge sites ---------------------------------------
-
-
-def _check_charges(
-    report: AnalysisReport,
-    tree: ast.Module,
-    artifact: CompiledArtifact,
-    expected: ExpectedEvents | None,
-    prefix: str,
-    filename: str,
-) -> None:
-    charges = [
-        stmt for stmt in _ordered_statements(tree.body) if _is_charge(stmt)
-    ]
-    budgeted = "budget" in artifact.flavor
-    if not budgeted:
-        if charges:
-            report.emit(
-                "PGMP502",
-                prefix + "non-budget flavor emits a C() charge",
-                _anchor(filename, charges[0]),
-                PASS_NAME,
-            )
-        return
-    if artifact.charge_count >= 0 and len(charges) != artifact.charge_count:
-        report.emit(
-            "PGMP502",
-            prefix
-            + f"generated source contains {len(charges)} C() charge(s) but "
-            f"codegen recorded {artifact.charge_count}",
-            _anchor(filename),
-            PASS_NAME,
-        )
-        return
-    if expected is not None and len(charges) != expected.charge_count:
-        report.emit(
-            "PGMP502",
-            prefix
-            + f"generated source contains {len(charges)} C() charge(s) but "
-            f"the interpreter traversal evaluates {expected.charge_count} "
-            f"node(s)",
-            _anchor(filename),
-            PASS_NAME,
-        )
-        return
-    if "instr" not in artifact.flavor:
-        return
-    # Charge-then-bump: in instr+budget artifacts every hook call must be
-    # immediately preceded by its node's charge, as sibling statements.
-    for block in _statement_lists(tree.body):
-        for position, stmt in enumerate(block):
-            if _hook_index(stmt) is None:
-                continue
-            if position == 0 or not _is_charge(block[position - 1]):
-                report.emit(
-                    "PGMP502",
-                    prefix
-                    + "hook call is not immediately preceded by its C() "
-                    "charge (interpreter order is charge, then bump)",
-                    _anchor(filename, stmt),
-                    PASS_NAME,
-                )
-                return
-
-
-# -- PGMP503: lexical environment --------------------------------------------
-
-
-def _check_entry_point(
-    report: AnalysisReport, tree: ast.Module, prefix: str, filename: str
-) -> bool:
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_pgmp_main":
-            params = [arg.arg for arg in stmt.args.args]
-            if params != ["GB", "H", "C"] or stmt.args.vararg is not None:
-                report.emit(
-                    "PGMP503",
-                    prefix
-                    + f"_pgmp_main has parameters ({', '.join(params)}); "
-                    "the execution contract requires (GB, H, C)",
-                    _anchor(filename, stmt),
-                    PASS_NAME,
-                )
-                return False
-            return True
-    report.emit(
-        "PGMP503",
-        prefix
-        + "runnable artifact's source defines no _pgmp_main(GB, H, C) "
-        "entry point — the callable cannot be the code it claims to be",
-        _anchor(filename),
-        PASS_NAME,
+def _is_identity_guard(node: ast.Compare) -> bool:
+    """``x is RT.P_<name>``: the primitive has not been redefined."""
+    right = node.comparators[0]
+    return (
+        len(node.ops) == 1
+        and isinstance(node.ops[0], ast.Is)
+        and isinstance(right, ast.Attribute)
+        and isinstance(right.value, ast.Name)
+        and right.value.id == "RT"
+        and right.attr.startswith("P_")
     )
-    return False
-
-
-def _local_names(fn: ast.FunctionDef) -> set[str]:
-    """Names bound inside ``fn`` (excluding nested function bodies)."""
-    names = {arg.arg for arg in fn.args.args}
-    if fn.args.vararg is not None:
-        names.add(fn.args.vararg.arg)
-    stack: list[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.FunctionDef):
-            names.add(node.name)
-            continue  # its body is a separate scope
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        if isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
-
-
-def _check_scope(
-    report: AnalysisReport, tree: ast.Module, prefix: str, filename: str
-) -> None:
-    module_names: set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                module_names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(stmt, ast.ImportFrom):
-            for alias in stmt.names:
-                module_names.add(alias.asname or alias.name)
-        elif isinstance(stmt, ast.FunctionDef):
-            module_names.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                for node in ast.walk(target):
-                    if isinstance(node, ast.Name):
-                        module_names.add(node.id)
-
-    def visit(fn: ast.FunctionDef, enclosing: tuple[set[str], ...]) -> bool:
-        frames = enclosing + (_local_names(fn),)
-        stack: list[ast.AST] = list(fn.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.FunctionDef):
-                if not visit(node, frames):
-                    return False
-                continue
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-                if (
-                    not any(name in frame for frame in frames)
-                    and name not in module_names
-                    and name not in _ALLOWED_BUILTINS
-                ):
-                    report.emit(
-                        "PGMP503",
-                        prefix
-                        + f"generated code reads {name!r}, which is bound in "
-                        "no enclosing scope of the core-form lexical "
-                        "environment",
-                        _anchor(filename, node),
-                        PASS_NAME,
-                    )
-                    return False
-            stack.extend(ast.iter_child_nodes(node))
-        return True
-
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef):
-            if not visit(stmt, ()):
-                return
-
-
-# -- PGMP504: self-tail-call loop rebinding ----------------------------------
-
-
-def _function_params(fn: ast.FunctionDef) -> set[str]:
-    """The loop variables of a generated function: names bound from the
-    ``*_a`` argument tuple at the top of the body."""
-    params: set[str] = set()
-    for stmt in fn.body:
-        if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-            continue
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        if any(
-            isinstance(node, ast.Name) and node.id == "_a"
-            for node in ast.walk(stmt.value)
-        ):
-            params.add(target.id)
-    return params
-
-
-def _is_param_assign(stmt: ast.stmt, params: set[str]) -> bool:
-    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-        return False
-    target = stmt.targets[0]
-    if isinstance(target, ast.Name):
-        return target.id in params
-    if isinstance(target, ast.Tuple):
-        return all(isinstance(elt, ast.Name) for elt in target.elts) and any(
-            elt.id in params
-            for elt in target.elts
-            if isinstance(elt, ast.Name)
-        )
-    return False
-
-
-def _check_tail_loops(
-    report: AnalysisReport, tree: ast.Module, prefix: str, filename: str
-) -> None:
-    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
-        params = _function_params(fn)
-        loops = [
-            node
-            for node in ast.walk(fn)
-            if isinstance(node, ast.While)
-            and isinstance(node.test, ast.Constant)
-            and node.test.value is True
-        ]
-        for loop in loops:
-            for block in _statement_lists(loop.body):
-                for position, stmt in enumerate(block):
-                    if not isinstance(stmt, ast.Continue):
-                        continue
-                    if not _check_continue(
-                        report, block, position, params, prefix, filename
-                    ):
-                        return
-
-
-def _check_continue(
-    report: AnalysisReport,
-    block: list[ast.stmt],
-    position: int,
-    params: set[str],
-    prefix: str,
-    filename: str,
-) -> bool:
-    run: list[ast.Assign] = []
-    index = position - 1
-    while index >= 0 and _is_param_assign(block[index], params):
-        assign = block[index]
-        assert isinstance(assign, ast.Assign)
-        run.append(assign)
-        index -= 1
-    if len(run) > 1:
-        report.emit(
-            "PGMP504",
-            prefix
-            + f"self-tail-call rebinds loop parameters in {len(run)} "
-            "sequential assignments before continue; a later assignment "
-            "can read an already-rebound parameter",
-            _anchor(filename, run[0]),
-            PASS_NAME,
-        )
-        return False
-    if not run:
-        return True  # zero-parameter loop: bare continue is fine
-    assign = run[0]
-    target = assign.targets[0]
-    if isinstance(target, ast.Name):
-        return True  # one variable: nothing to clobber
-    assert isinstance(target, ast.Tuple)
-    value = assign.value
-    if not isinstance(value, ast.Tuple) or len(value.elts) != len(target.elts):
-        report.emit(
-            "PGMP504",
-            prefix
-            + "self-tail-call rebinding is not a parallel tuple assignment "
-            "of matching arity",
-            _anchor(filename, assign),
-            PASS_NAME,
-        )
-        return False
-    names = [elt.id for elt in target.elts if isinstance(elt, ast.Name)]
-    if len(set(names)) != len(target.elts):
-        report.emit(
-            "PGMP504",
-            prefix
-            + "self-tail-call rebinding assigns the same loop parameter "
-            "twice in one tuple assignment",
-            _anchor(filename, assign),
-            PASS_NAME,
-        )
-        return False
-    return True
-
-
-# -- PGMP505: inline-primitive identity guards -------------------------------
-
-
-def _guard_kinds(test: ast.expr) -> tuple[bool, bool]:
-    """``(has identity guard, has dynamic type test)`` for an if-test."""
-    identity = False
-    typed = False
-    for node in ast.walk(test):
-        if (
-            isinstance(node, ast.Compare)
-            and len(node.ops) == 1
-            and isinstance(node.ops[0], ast.Is)
-            and isinstance(node.comparators[0], ast.Attribute)
-            and isinstance(node.comparators[0].value, ast.Name)
-            and node.comparators[0].value.id == "RT"
-            and node.comparators[0].attr.startswith("P_")
-        ):
-            identity = True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "type"
-        ):
-            typed = True
-    return identity, typed
 
 
 def _is_arity_check(node: ast.Compare) -> bool:
@@ -517,79 +126,470 @@ def _is_arity_check(node: ast.Compare) -> bool:
     )
 
 
-def _check_inline_guards(
-    report: AnalysisReport, tree: ast.Module, prefix: str, filename: str
-) -> None:
-    def visit(node: ast.AST, identity: bool, typed: bool) -> bool:
-        if isinstance(node, ast.If):
-            guard_identity, guard_typed = _guard_kinds(node.test)
-            if not visit(node.test, identity, typed):
-                return False
-            for stmt in node.body:
-                if not visit(
-                    stmt, identity or guard_identity, typed or guard_typed
-                ):
-                    return False
+# -- the single walk ---------------------------------------------------------
+
+
+class _Function:
+    """One generated ``def``: its scope frame and its loop parameters."""
+
+    __slots__ = ("parent", "names", "params", "rank")
+
+    def __init__(
+        self, parent: _Function | None, names: set[str], rank: tuple[int, int]
+    ) -> None:
+        self.parent = parent
+        #: every name bound in the body (nested function bodies excluded)
+        self.names = names
+        #: loop variables: names the top of the body assigns from ``_a``
+        self.params: set[str] = set()
+        #: (depth, preorder position): compares in breadth-first order
+        self.rank = rank
+
+    def encloses(self, other: _Function | None) -> bool:
+        while other is not None and other is not self:
+            other = other.parent
+        return other is self
+
+
+#: A self-tail-call loop: its breadth-first rank and enclosing function.
+_Loop = tuple[tuple[int, int], _Function | None]
+#: A name the scope pass must resolve, and the function reading it.
+_Read = tuple[ast.Name, _Function]
+
+
+class _Streams:
+    """Statement-level facts, in the order the passes scan statements."""
+
+    __slots__ = ("hooks", "charges", "unchained", "continues")
+
+    def __init__(self) -> None:
+        #: ``(statement, i)`` per ``H[i]()``, statements in source order
+        self.hooks: list[tuple[ast.stmt, int]] = []
+        #: ``C()`` statements, in source order
+        self.charges: list[ast.stmt] = []
+        #: hook calls not preceded by a sibling charge, outer blocks first
+        self.unchained: list[ast.stmt] = []
+        #: ``(block, position, enclosing loops)`` per ``continue`` in a
+        #: self-tail-call loop, outer blocks first
+        self.continues: list[tuple[list[ast.stmt], int, tuple[_Loop, ...]]] = []
+
+    def extend(self, other: _Streams) -> None:
+        self.hooks += other.hooks
+        self.charges += other.charges
+        self.unchained += other.unchained
+        self.continues += other.continues
+
+
+class _Walk:
+    """One walk over a generated module, collecting what every PGMP5xx
+    pass needs.
+
+    Each pass reports one finding, so orders matter. Nodes are visited in
+    ``ast.iter_child_nodes`` order. The statement streams follow the
+    passes' statement order instead: a ``try`` reads as body, else,
+    finally, then handlers, and ``match`` cases hold no hooks or charges.
+    """
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.out = _Streams()
+        #: per top-level function, in module order: the reads of its body
+        #: and of the functions nested in it, in preorder
+        self.scopes: list[list[_Read]] = []
+        #: PGMP505: the first inline fast path outside its guard
+        self.unguarded: _Finding | None = None
+        self._function: _Function | None = None
+        #: the function whose reads and stores the scope pass sees; None
+        #: outside the bodies of top-level functions and their nested ones
+        self._scan: _Function | None = None
+        self._reads: list[_Read] = []
+        self._loops: tuple[_Loop, ...] = ()
+        self._hooked = True  # False inside ``match`` cases
+        self._preorder = 0
+        #: (identity guard, int type test) in force
+        self._guard = (False, False)
+        # what the current ``if`` test (or assigned value) contains
+        self._identity = self._typed = self._reads_args = False
+        self._block(tree.body, 1)
+
+    def _block(self, stmts: list[ast.stmt], depth: int) -> None:
+        out, loops = self.out, self._loops
+        charged = False
+        for position, stmt in enumerate(stmts):
+            if isinstance(stmt, ast.Expr):
+                if self._hooked and not charged and _hook_index(stmt) is not None:
+                    out.unchained.append(stmt)
+                charged = _is_charge(stmt)
+                continue
+            charged = False
+            if loops and isinstance(stmt, ast.Continue):
+                out.continues.append((stmts, position, loops))
+        for stmt in stmts:
+            self._statement(stmt, depth)
+
+    def _statement(self, stmt: ast.stmt, depth: int) -> None:
+        if isinstance(stmt, ast.Expr):
+            if self._hooked:
+                index = _hook_index(stmt)
+                if index is not None:
+                    self.out.hooks.append((stmt, index))
+                elif _is_charge(stmt):
+                    self.out.charges.append(stmt)
+            self._visit(stmt.value)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                self._visit(target)
+            self._reads_args = False
+            self._visit(stmt.value)
+            function, target = self._function, stmt.targets[0]
+            if (
+                self._reads_args
+                and function is not None
+                and depth == function.rank[0] + 1
+                and len(stmt.targets) == 1
+                and isinstance(target, ast.Name)
+            ):
+                function.params.add(target.id)
+        elif isinstance(stmt, ast.If):
+            self._identity = self._typed = False
+            self._visit(stmt.test)
+            outer = self._guard
+            self._guard = (outer[0] or self._identity, outer[1] or self._typed)
+            self._block(stmt.body, depth + 1)
             # The else branch is the generic fallback: the guard does NOT
             # cover it, so fast ops there are findings.
-            for stmt in node.orelse:
-                if not visit(stmt, identity, typed):
-                    return False
-            return True
-        if (
-            isinstance(node, ast.BinOp)
-            and isinstance(node.op, _ARITH_OPS)
-            and not (identity and typed)
-        ):
-            report.emit(
-                "PGMP505",
-                prefix
-                + "inlined arithmetic fast path is not protected by an "
-                "identity guard plus int type test",
-                _anchor(filename, node),
-                PASS_NAME,
-            )
-            return False
-        if (
-            isinstance(node, ast.Compare)
-            and any(isinstance(op, _ORDER_OPS) for op in node.ops)
-            and not _is_arity_check(node)
-            and not (identity and typed)
-        ):
-            report.emit(
-                "PGMP505",
-                prefix
-                + "inlined comparison fast path is not protected by an "
-                "identity guard plus int type test",
-                _anchor(filename, node),
-                PASS_NAME,
-            )
-            return False
-        if (
+            self._guard = outer
+            self._block(stmt.orelse, depth + 1)
+        elif isinstance(stmt, ast.While):
+            self._visit(stmt.test)
+            loops = self._loops
+            if isinstance(stmt.test, ast.Constant) and stmt.test.value is True:
+                self._preorder += 1
+                self._loops += (((depth, self._preorder), self._function),)
+            self._block(stmt.body, depth + 1)
+            self._loops = loops
+            self._block(stmt.orelse, depth + 1)
+        elif isinstance(stmt, ast.FunctionDef):
+            self._function_def(stmt, depth)
+        elif isinstance(stmt, (ast.Try, ast.TryStar)):
+            self._block(stmt.body, depth + 1)
+            # Handlers come first in the AST but last in statement order:
+            # divert their streams and append them after the finally.
+            main, self.out = self.out, _Streams()
+            for handler in stmt.handlers:
+                if handler.type is not None:
+                    self._visit(handler.type)
+                if handler.name and self._scan is not None:
+                    self._scan.names.add(handler.name)
+                self._block(handler.body, depth + 2)
+            handlers, self.out = self.out, main
+            self._block(stmt.orelse, depth + 1)
+            self._block(stmt.finalbody, depth + 1)
+            main.extend(handlers)
+        elif isinstance(stmt, ast.Match):
+            self._visit(stmt.subject)
+            hooked, loops = self._hooked, self._loops
+            self._hooked, self._loops = False, ()
+            for case in stmt.cases:
+                self._visit(case.pattern)
+                if case.guard is not None:
+                    self._visit(case.guard)
+                self._block(case.body, depth + 2)
+            self._hooked, self._loops = hooked, loops
+        else:
+            for _, field in ast.iter_fields(stmt):
+                if isinstance(field, ast.AST):
+                    self._visit(field)
+                elif field and isinstance(field, list):
+                    if isinstance(field[0], ast.stmt):
+                        self._block(field, depth + 1)
+                    else:
+                        for item in field:
+                            if isinstance(item, ast.AST):
+                                self._visit(item)
+
+    def _function_def(self, fn: ast.FunctionDef, depth: int) -> None:
+        enclosing, scan, reads = self._function, self._scan, self._reads
+        if scan is not None:
+            scan.names.add(fn.name)
+        # The scope pass skips the header (defaults, decorators,
+        # annotations); the guard pass does not.
+        self._scan = None
+        self._visit(fn.args)
+        names = {arg.arg for arg in fn.args.args}
+        if fn.args.vararg is not None:
+            names.add(fn.args.vararg.arg)
+        self._preorder += 1
+        self._function = _Function(enclosing, names, (depth, self._preorder))
+        if depth == 1:
+            self._reads = []
+            self.scopes.append(self._reads)
+        if depth == 1 or scan is not None:
+            self._scan = self._function
+        self._block(fn.body, depth + 1)
+        self._function, self._scan = enclosing, None
+        for node in (*fn.decorator_list, fn.returns, *getattr(fn, "type_params", ())):
+            if node is not None:
+                self._visit(node)
+        self._scan, self._reads = scan, reads
+
+    def _visit(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Name):
+            if node.id == "_a":
+                self._reads_args = True
+            if self._scan is not None:
+                if isinstance(node.ctx, ast.Load):
+                    self._reads.append((node, self._scan))
+                elif isinstance(node.ctx, ast.Store):
+                    self._scan.names.add(node.id)
+            return
+        if isinstance(node, ast.Constant):
+            return
+        guarded = self._guard[0] and self._guard[1]
+        if isinstance(node, ast.Compare):
+            self._identity = self._identity or _is_identity_guard(node)
+            if (
+                not guarded
+                and any(isinstance(op, _ORDER_OPS) for op in node.ops)
+                and not _is_arity_check(node)
+            ):
+                self._unguarded(node, "comparison")
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "type":
+                self._typed = True
+        elif isinstance(node, ast.BinOp):
+            if isinstance(node.op, _ARITH_OPS) and not guarded:
+                self._unguarded(node, "arithmetic")
+        elif (
             isinstance(node, ast.Attribute)
             and node.attr in ("car", "cdr")
+            and not self._guard[0]
             and isinstance(node.ctx, ast.Load)
             and not (isinstance(node.value, ast.Name) and node.value.id == "RT")
-            and not identity
         ):
-            report.emit(
-                "PGMP505",
-                prefix
-                + f"inlined .{node.attr} field access is not protected by "
-                "a primitive identity guard",
-                _anchor(filename, node),
-                PASS_NAME,
+            self.unguarded = self.unguarded or (
+                f"inlined .{node.attr} field access is not protected by a "
+                "primitive identity guard",
+                node,
             )
-            return False
         for child in ast.iter_child_nodes(node):
-            if not visit(child, identity, typed):
-                return False
-        return True
+            self._visit(child)
 
-    visit(tree, False, False)
+    def _unguarded(self, node: ast.AST, fast_path: str) -> None:
+        self.unguarded = self.unguarded or (
+            f"inlined {fast_path} fast path is not protected by an identity "
+            "guard plus int type test",
+            node,
+        )
+
+
+# -- the passes, judging what the walk collected -----------------------------
+
+
+def _entry_point_finding(tree: ast.Module) -> _Finding | None:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_pgmp_main":
+            params = [arg.arg for arg in stmt.args.args]
+            if params == ["GB", "H", "C"] and stmt.args.vararg is None:
+                return None
+            return (
+                f"_pgmp_main has parameters ({', '.join(params)}); the "
+                "execution contract requires (GB, H, C)",
+                stmt,
+            )
+    return (
+        "runnable artifact's source defines no _pgmp_main(GB, H, C) entry "
+        "point — the callable cannot be the code it claims to be",
+        None,
+    )
+
+
+def _hook_finding(
+    hooks: list[tuple[ast.stmt, int]],
+    artifact: CompiledArtifact,
+    expected: ExpectedEvents | None,
+) -> _Finding | None:
+    """PGMP501: instrumentation-site order."""
+    if "instr" not in artifact.flavor:
+        if not hooks:
+            return None
+        stmt, index = hooks[0]
+        return f"non-instrumented flavor emits hook call H[{index}]", stmt
+    for position, (stmt, index) in enumerate(hooks):
+        if index != position:
+            return (
+                f"hook call #{position} in textual order has index {index}; "
+                "emission order must match traversal order",
+                stmt,
+            )
+    if len(hooks) != len(artifact.hook_sites):
+        return (
+            f"generated source contains {len(hooks)} hook call(s) but the "
+            f"artifact records {len(artifact.hook_sites)} hook site(s)",
+            None,
+        )
+    if expected is None:
+        return None
+    derived = expected.hook_sites
+    recorded = [tuple(site) for site in artifact.hook_sites]
+    if len(recorded) != len(derived):
+        return (
+            f"artifact records {len(recorded)} hook site(s) but the "
+            f"interpreter traversal produces {len(derived)}",
+            None,
+        )
+    for index, (got, want) in enumerate(zip(recorded, derived)):
+        if got != want:
+            return (
+                f"hook site #{index} diverges from interpreter order: "
+                f"recorded point {got[0]} (is_app={got[1]}), expected "
+                f"{want[0]} (is_app={want[1]})",
+                None,
+            )
+    return None
+
+
+def _charge_finding(
+    out: _Streams, artifact: CompiledArtifact, expected: ExpectedEvents | None
+) -> _Finding | None:
+    """PGMP502: step-budget charge sites."""
+    charges = out.charges
+    if "budget" not in artifact.flavor:
+        if charges:
+            return "non-budget flavor emits a C() charge", charges[0]
+        return None
+    if artifact.charge_count >= 0 and len(charges) != artifact.charge_count:
+        return (
+            f"generated source contains {len(charges)} C() charge(s) but "
+            f"codegen recorded {artifact.charge_count}",
+            None,
+        )
+    if expected is not None and len(charges) != expected.charge_count:
+        return (
+            f"generated source contains {len(charges)} C() charge(s) but "
+            f"the interpreter traversal evaluates {expected.charge_count} "
+            "node(s)",
+            None,
+        )
+    # Charge-then-bump: in instr+budget artifacts every hook call must be
+    # immediately preceded by its node's charge, as sibling statements.
+    if "instr" in artifact.flavor and out.unchained:
+        return (
+            "hook call is not immediately preceded by its C() charge "
+            "(interpreter order is charge, then bump)",
+            out.unchained[0],
+        )
+    return None
+
+
+def _scope_finding(walk: _Walk, tree: ast.Module) -> _Finding | None:
+    """PGMP503: a read that no enclosing scope binds."""
+    bound = set(_ALLOWED_BUILTINS)
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom):
+            bound.update(a.asname or a.name for a in stmt.names)
+        elif isinstance(stmt, ast.FunctionDef):
+            bound.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    # Reads are judged last first, the order of the pass's LIFO scan;
+    # judging them after the walk lets a later store still bind a name.
+    for reads in walk.scopes:
+        for node, function in reversed(reads):
+            frame: _Function | None = function
+            while frame is not None and node.id not in frame.names:
+                frame = frame.parent
+            if frame is None and node.id not in bound:
+                return (
+                    f"generated code reads {node.id!r}, which is bound in no "
+                    "enclosing scope of the core-form lexical environment",
+                    node,
+                )
+    return None
+
+
+def _tail_loop_finding(out: _Streams) -> _Finding | None:
+    """PGMP504: a ``continue`` in a self-tail-call loop is checked against
+    the loop parameters of every function enclosing the loop. The pass
+    reports the first finding with functions breadth-first, then their
+    loops breadth-first, then blocks outer first."""
+    first: tuple[tuple[tuple[int, int], tuple[int, int], int], _Finding] | None
+    first = None
+    for order, (block, position, loops) in enumerate(out.continues):
+        function = loops[-1][1]
+        while function is not None:
+            if function.params:
+                loop = next(rank for rank, fn in loops if function.encloses(fn))
+                key = (function.rank, loop, order)
+                if first is None or key < first[0]:
+                    finding = _rebind_finding(block, position, function.params)
+                    if finding is not None:
+                        first = key, finding
+            function = function.parent
+    return first[1] if first is not None else None
+
+
+def _is_param_assign(stmt: ast.stmt, params: set[str]) -> bool:
+    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
+        return False
+    target = stmt.targets[0]
+    elts = target.elts if isinstance(target, ast.Tuple) else [target]
+    names = [elt.id for elt in elts if isinstance(elt, ast.Name)]
+    return len(names) == len(elts) and not params.isdisjoint(names)
+
+
+def _rebind_finding(
+    block: list[ast.stmt], position: int, params: set[str]
+) -> _Finding | None:
+    run: list[ast.Assign] = []
+    index = position - 1
+    while index >= 0 and _is_param_assign(block[index], params):
+        assign = block[index]
+        assert isinstance(assign, ast.Assign)
+        run.append(assign)
+        index -= 1
+    if len(run) > 1:
+        return (
+            f"self-tail-call rebinds loop parameters in {len(run)} sequential "
+            "assignments before continue; a later assignment can read an "
+            "already-rebound parameter",
+            run[0],
+        )
+    if not run or isinstance(run[0].targets[0], ast.Name):
+        return None  # a bare continue, or one variable: nothing to clobber
+    assign = run[0]
+    target = assign.targets[0]
+    assert isinstance(target, ast.Tuple)
+    value = assign.value
+    if not isinstance(value, ast.Tuple) or len(value.elts) != len(target.elts):
+        return (
+            "self-tail-call rebinding is not a parallel tuple assignment of "
+            "matching arity",
+            assign,
+        )
+    names = {elt.id for elt in target.elts if isinstance(elt, ast.Name)}
+    if len(names) != len(target.elts):
+        return (
+            "self-tail-call rebinding assigns the same loop parameter twice "
+            "in one tuple assignment",
+            assign,
+        )
+    return None
 
 
 # -- the per-artifact entry point --------------------------------------------
+
+
+def _derive_expected(program: Program | None) -> _Derived:
+    """Run the expected-order oracle, capturing its failure."""
+    if program is None:
+        return None
+    try:
+        return expected_events(program)
+    except Exception as exc:
+        return exc
 
 
 def verify_artifact(
@@ -606,61 +606,61 @@ def verify_artifact(
     missing charges, scope escapes, unsafe rebinding, and unguarded fast
     paths.
     """
+    target = program if program is not None else artifact.program
+    return _verify_artifact(artifact, filename, lambda: _derive_expected(target))
+
+
+def _verify_artifact(
+    artifact: CompiledArtifact, filename: str | None, derive: Callable[[], _Derived]
+) -> AnalysisReport:
+    """:func:`verify_artifact` with the oracle supplied by the caller, so
+    that the flavors of one program share one derivation. ``derive`` runs
+    only for an artifact with source to check."""
     report = AnalysisReport()
     name = filename if filename is not None else artifact.filename
-    prefix = f"artifact[{artifact.flavor}]: "
+
+    def emit(
+        code: str,
+        message: str,
+        node: ast.AST | None = None,
+        severity: Severity | None = None,
+    ) -> None:
+        message = f"artifact[{artifact.flavor}]: {message}"
+        report.emit(code, message, _anchor(name, node), PASS_NAME, severity)
+
     if not artifact.runnable:
-        report.emit(
-            "PGMP506",
-            prefix
-            + "interpreter fallback: "
-            + (artifact.unsupported_reason or "artifact is expansion-only"),
-            _anchor(name),
-            PASS_NAME,
-        )
+        reason = artifact.unsupported_reason or "artifact is expansion-only"
+        emit("PGMP506", f"interpreter fallback: {reason}")
         return report
-    source = artifact.python_source
-    if not source:
+    if not artifact.python_source:
         # Mirrors CompiledArtifact.self_check: instr flavors legitimately
         # drop their source; a plain/budget runnable artifact must not.
         if "instr" not in artifact.flavor:
-            report.emit(
-                "PGMP503",
-                prefix
-                + "runnable artifact carries no generated source to verify",
-                _anchor(name),
-                PASS_NAME,
-            )
+            emit("PGMP503", "runnable artifact carries no generated source to verify")
         return report
     try:
-        tree = ast.parse(source)
+        tree = ast.parse(artifact.python_source)
     except SyntaxError as exc:
-        report.emit(
-            "PGMP503",
-            prefix + f"generated source does not parse: {exc}",
-            _anchor(name),
-            PASS_NAME,
-        )
+        emit("PGMP503", f"generated source does not parse: {exc}")
         return report
-    target = program if program is not None else artifact.program
-    expected: ExpectedEvents | None = None
-    if target is not None:
-        try:
-            expected = expected_events(target)
-        except Exception as exc:
-            report.emit(
-                "PGMP501",
-                prefix
-                + f"could not re-derive expected instrumentation sites: "
-                f"{type(exc).__name__}: {exc}",
-                _anchor(name),
-                PASS_NAME,
-                severity=Severity.WARNING,
-            )
-    _check_entry_point(report, tree, prefix, name)
-    _check_hooks(report, tree, artifact, expected, prefix, name)
-    _check_charges(report, tree, artifact, expected, prefix, name)
-    _check_scope(report, tree, prefix, name)
-    _check_tail_loops(report, tree, prefix, name)
-    _check_inline_guards(report, tree, prefix, name)
+    derived = derive()
+    if isinstance(derived, Exception):
+        emit(
+            "PGMP501",
+            "could not re-derive expected instrumentation sites: "
+            f"{type(derived).__name__}: {derived}",
+            severity=Severity.WARNING,
+        )
+    expected = derived if isinstance(derived, ExpectedEvents) else None
+    walk = _Walk(tree)
+    for code, finding in (
+        ("PGMP503", _entry_point_finding(tree)),
+        ("PGMP501", _hook_finding(walk.out.hooks, artifact, expected)),
+        ("PGMP502", _charge_finding(walk.out, artifact, expected)),
+        ("PGMP503", _scope_finding(walk, tree)),
+        ("PGMP504", _tail_loop_finding(walk.out)),
+        ("PGMP505", walk.unguarded),
+    ):
+        if finding is not None:
+            emit(code, *finding)
     return report

@@ -114,6 +114,10 @@ def describe_rollout_metrics(metrics: ServiceMetrics) -> None:
     )
     metrics.describe("canary_latency", "Compiled-backend canary probe latency")
     metrics.describe(
+        "verify_latency",
+        "Static translation validation (PGMP5xx) latency per candidate",
+    )
+    metrics.describe(
         "artifact_verify_passes_total",
         "Candidate artifacts that passed static translation validation",
     )
@@ -778,9 +782,13 @@ class RolloutGuard:
         """
         if self.static_verifier is None:
             return StaticVerifyResult(passed=True, artifacts=0)
+        start = time.perf_counter()
         with maybe_span("verify", "candidate-static-verification"):
             result = self.static_verifier(candidate)
         if self.metrics is not None:
+            self.metrics.observe_latency(
+                "verify_latency", time.perf_counter() - start
+            )
             if result.passed:
                 self.metrics.inc("artifact_verify_passes_total", result.artifacts)
             else:

@@ -740,3 +740,28 @@ def test_static_pass_hands_off_to_the_canary():
     assert len(canary_ran) == 1, "static pass then canary, in that order"
     assert metrics.counter("artifact_verify_passes_total") == 4
     assert metrics.counter("artifact_verify_failures_total") == 0
+
+
+def test_guarded_swap_records_one_verify_latency():
+    from repro.service import scheme_static_verifier
+
+    metrics = ServiceMetrics()
+    system = _system()
+    guard = RolloutGuard(
+        static_verifier=scheme_static_verifier(),
+        validator=scheme_canary(system),
+        metrics=metrics,
+    )
+    controller = RecompileController(
+        scheme_recompiler(system, PROGRAM, "rollout.ss"),
+        threshold=0.05,
+        metrics=metrics,
+        guard=guard,
+    )
+    assert metrics.latency_count("verify_latency") == 0
+    decision = controller.maybe_recompile(_db({1: 10}))
+    assert decision.recompiled
+    assert metrics.latency_count("verify_latency") == 1
+    assert metrics.latency_quantile("verify_latency", 0.5) > 0
+    assert metrics.help_for("verify_latency")
+    assert "verify_latency" not in metrics.undocumented_names()
