@@ -332,7 +332,8 @@ def get_global_metrics() -> ServiceMetrics:
             )
             metrics.describe(
                 "backend_fallbacks_total",
-                "Runs the compiled backend handed back to the interpreter "
+                "Runs the compiled backend handed back to the interpreter, "
+                "in whole or through interpreted library procedures "
                 "(labeled samples break the total down by reason)",
             )
             metrics.describe(

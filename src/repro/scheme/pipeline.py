@@ -101,6 +101,14 @@ def fallback_reason_slug(reason: str) -> str:
     return "other"
 
 
+def _count_fallback(slug: str, reason: str) -> None:
+    """Count and debug-log one compiled run that is (partly) interpreted."""
+    metrics = get_global_metrics()
+    metrics.inc("backend_fallbacks_total")
+    metrics.inc_labeled("backend_fallbacks_total", {"reason": slug})
+    logger.debug("compiled backend fell back to the interpreter: %s", reason)
+
+
 class SchemeSubstrate:
     """Plugs Scheme syntax objects into the generic Figure-4 API."""
 
@@ -161,6 +169,9 @@ class SchemeSystem:
         self.expander = Expander(self.expand_env)
         self.runtime_env: GlobalEnvironment = make_global_env()
         self._library_sources: list[tuple[str, str]] = []
+        #: set once a library defines procedures under the interpreter:
+        #: they stay interpreted closures, even inside a compiled run
+        self._interpreted_library = False
         #: expand-time output (compile-time warnings) of the last compile().
         self.last_compile_output: str = ""
         #: how programs execute: ``"interp"`` (the closure-compiling
@@ -307,15 +318,11 @@ class SchemeSystem:
                 program, instrumenter is not None, budget is not None
             )
             if artifact.runnable:
+                if self._interpreted_library:
+                    _count_fallback("library-interpreted", "library procedures stay interpreted")
                 return artifact.execute(self.runtime_env, instrumenter, budget)
-            metrics = get_global_metrics()
-            metrics.inc("backend_fallbacks_total")
-            metrics.inc_labeled(
-                "backend_fallbacks_total",
-                {"reason": fallback_reason_slug(artifact.unsupported_reason)},
-            )
-            logger.debug(
-                "compiled backend fell back to the interpreter: %s",
+            _count_fallback(
+                fallback_reason_slug(artifact.unsupported_reason),
                 artifact.unsupported_reason,
             )
         return Interpreter(self.runtime_env, instrumenter, budget).run_program(
@@ -437,6 +444,8 @@ class SchemeSystem:
                 self.expand_env.define(
                     form.unique, self.runtime_env.lookup(form.unique)
                 )
+                if self.backend == "interp":
+                    self._interpreted_library = True
 
     def run_source(
         self,

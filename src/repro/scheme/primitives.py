@@ -34,6 +34,7 @@ from repro.scheme.datum import (
     NIL,
     UNSPECIFIED,
     Char,
+    Nil,
     Pair,
     SchemeVector,
     Symbol,
@@ -428,7 +429,24 @@ def _procedurep(x):
     return isinstance(x, Closure) or callable(x)
 
 
+# The equivalence predicates decide two values of one exact type listed
+# here at once; all other operands take the isinstance chain after that.
+_SAME_TYPE_NUMBERS = frozenset((int, float, Fraction))
+_SAME_TYPE_IDENTITY = frozenset((bool, Symbol, Nil))
+_SAME_TYPE_EQV = _SAME_TYPE_NUMBERS | _SAME_TYPE_IDENTITY | {Char}
+#: list-search keys whose same-type elements all three predicates match alike
+_INLINE_KEY_TYPES = _SAME_TYPE_IDENTITY | {Char}
+
+
 def _eqv(a, b):
+    kind = type(a)
+    if kind is type(b):
+        if kind is Char:
+            return a.value == b.value
+        if kind in _SAME_TYPE_NUMBERS:
+            return a == b
+        if kind in _SAME_TYPE_IDENTITY:
+            return a is b
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b
     if isinstance(a, (int, float, Fraction)) and isinstance(b, (int, float, Fraction)):
@@ -440,6 +458,14 @@ def _eqv(a, b):
 
 @primitive("eq?")
 def _eqp(a, b):
+    kind = type(a)
+    if kind is type(b):
+        if kind is Char:
+            return a.value == b.value
+        if kind is int:
+            return a == b
+        if kind in _SAME_TYPE_EQV:
+            return a is b
     if isinstance(a, (int, Char)) and isinstance(b, (int, Char)):
         # Small ints / chars behave like immediates.
         return _eqv(a, b)
@@ -453,6 +479,9 @@ def _eqvp(a, b):
 
 @primitive("equal?")
 def _equalp(a, b):
+    kind = type(a)
+    if kind is type(b) and kind in _SAME_TYPE_EQV:
+        return _eqv(a, b)
     if _eqv(a, b):
         return True
     if isinstance(a, str) and isinstance(b, str):
@@ -603,12 +632,20 @@ def _iota(n, start=0, step=1):
 
 
 def _member_by(pred, x, lst):
-    node = _unwrap_seq(lst)
-    while isinstance(node, Pair):
-        if pred(x, node.car):
+    kind = type(x) if type(x) in _INLINE_KEY_TYPES else None
+    node = lst
+    while True:
+        if isinstance(node, Syntax):
+            node = _unwrap_seq(node)
+        if not isinstance(node, Pair):
+            return False
+        item = node.car
+        if type(item) is kind:
+            if item is x or (kind is Char and item.value == x.value):
+                return node
+        elif pred(x, item):
             return node
-        node = _unwrap_seq(node.cdr)
-    return False
+        node = node.cdr
 
 
 @primitive("memq")
@@ -627,13 +664,22 @@ def _member(x, lst):
 
 
 def _assoc_by(pred, x, alist):
-    node = _unwrap_seq(alist)
-    while isinstance(node, Pair):
+    kind = type(x) if type(x) in _INLINE_KEY_TYPES else None
+    node = alist
+    while True:
+        if isinstance(node, Syntax):
+            node = _unwrap_seq(node)
+        if not isinstance(node, Pair):
+            return False
         entry = _unwrap_seq(node.car)
-        if isinstance(entry, Pair) and pred(x, entry.car):
-            return entry
-        node = _unwrap_seq(node.cdr)
-    return False
+        if isinstance(entry, Pair):
+            item = entry.car
+            if type(item) is kind:
+                if item is x or (kind is Char and item.value == x.value):
+                    return entry
+            elif pred(x, item):
+                return entry
+        node = node.cdr
 
 
 @primitive("assq")

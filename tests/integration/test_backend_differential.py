@@ -184,3 +184,49 @@ def test_artifact_cache_decisions_are_themselves_traced():
     assert '"artifact_cache"' in doc
     assert '"outcome": "miss"' in doc
     assert '"source_fp"' in doc and '"profile_fp"' in doc
+
+
+# -- equivalence fast path: case over mixed key types ---------------------------------
+
+#: One clause per key type. ``case`` tests with ``equal?``, which compares
+#: numbers with ``=`` across exactness, so 1.0 takes the (1) clause; #t is
+#: not 1 and falls to else.
+MIXED_KEY_CASE = r"""
+(define (dispatch k)
+  (case k
+    [(1) 'one] [(1/2) 'half] [(#\a) 'char] [(a) 'symbol]
+    [("s") 'string] [(()) 'nil] [else 'other]))
+(define (walk ks acc)
+  (if (null? ks)
+      (reverse acc)
+      (begin (display (dispatch (car ks))) (newline)
+             (walk (cdr ks) (cons (dispatch (car ks)) acc)))))
+(walk (list 1.0 #t 1 #\a 'a "s" '()) '())
+"""
+
+
+def test_mixed_key_case_parity_in_every_flavor(monkeypatch):
+    from repro.core.policy import StepBudget
+
+    observed = {}
+    for backend in BACKENDS:
+        monkeypatch.setenv("PGMP_BACKEND", backend)
+        system = _factory("exclusive_cond.make_case_system")(policy="warn")
+        assert system.backend == backend
+        program = system.compile(MIXED_KEY_CASE, "mixed.ss")
+        for instrument in (None, ProfileMode.EXPR):
+            for budget in (None, StepBudget(10**6)):
+                result = system.run(program, instrument=instrument, budget=budget)
+                counters = result.counters.snapshot() if result.counters else {}
+                observed[backend, instrument, budget is not None] = (
+                    write_datum(strip_all(result.value)),
+                    result.output,
+                    {str(p): c for p, c in counters.items()},
+                    budget.initial - budget.remaining if budget else None,
+                )
+    for (backend, instrument, budgeted), outcome in observed.items():
+        assert outcome == observed["interp", instrument, budgeted], (instrument, budgeted)
+    value, output, counters, _ = observed["interp", ProfileMode.EXPR, True]
+    assert value == "(one other one char symbol string nil)"
+    assert output.split() == value.strip("()").split()
+    assert sum(counters.values()) > 0

@@ -253,3 +253,34 @@ def test_case_study_library_parity():
             {str(p): c for p, c in profiled.counters.snapshot().items()},
         )
     assert outcomes["interp"] == outcomes["compile"]
+
+
+def test_interpreted_library_under_a_compiled_run_is_counted(caplog):
+    import logging
+
+    from repro.casestudies import CASE_LIBRARY, EXCLUSIVE_COND_LIBRARY
+    from repro.obs.metrics import get_global_metrics
+
+    metrics = get_global_metrics()
+    labels = {"reason": "library-interpreted"}
+    source = "(case 2 ((1 2) 'hit) (else 'miss))"
+
+    def counted(built_with, run_with):
+        system = SchemeSystem(backend=built_with)
+        system.load_library(EXCLUSIVE_COND_LIBRARY, "exclusive-cond.ss")
+        system.load_library(CASE_LIBRARY, "case.ss")
+        program = system.compile(source, "<trap>")
+        before = metrics.labeled_counter("backend_fallbacks_total", labels)
+        total = metrics.counter("backend_fallbacks_total")
+        for _ in range(2):
+            assert write_datum(system.run(program, backend=run_with).value) == "hit"
+        assert metrics.counter("backend_fallbacks_total") - total == (
+            metrics.labeled_counter("backend_fallbacks_total", labels) - before
+        )
+        return metrics.labeled_counter("backend_fallbacks_total", labels) - before
+
+    with caplog.at_level(logging.DEBUG, logger="repro.scheme.pipeline"):
+        assert counted("interp", "compile") == 2, "once per compiled run"
+    assert any("stay interpreted" in r.getMessage() for r in caplog.records)
+    assert counted("interp", "interp") == 0
+    assert counted("compile", "compile") == 0
